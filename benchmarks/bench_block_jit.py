@@ -26,8 +26,8 @@ The workloads, from best case to whole system:
   timing replication (every load still walks TLB/L1/L2 state) bounds
   the end-to-end gain well below the straight-line bound; the analysis
   lives in ``docs/performance.md``.
-* ``serve`` -- the multi-tenant smoke grid through ``run_serve``,
-  identical reports either way.
+* ``serve`` -- the multi-tenant smoke grid through
+  ``run_serve_sharded``, identical reports either way.
 
 Usage::
 
@@ -46,7 +46,7 @@ from repro.cpu.pipeline import ExecutionContext, Pipeline
 from repro.kernel.image import shared_image
 from repro.kernel.kernel import MiniKernel
 from repro.obs import MetricsRegistry
-from repro.serve.engine import ServeConfig, run_serve
+from repro.serve.shard import ShardedServeConfig, run_serve_sharded
 from repro.workloads.lebench import build_tests, run_lebench
 
 #: The serve smoke grid (matches ``python -m repro.serve --smoke``).
@@ -201,21 +201,20 @@ def _serve(reg: MetricsRegistry) -> float:
     # Warm the process-wide code cache first: a serve cell is a fresh
     # short-lived kernel, so the timed grid measures the steady state
     # (codegen and compiles amortized), not one-off compile cost.
-    run_serve(ServeConfig(scheme="perspective", seed=0,
-                          tenants=max(SERVE_SMOKE["tenants"]),
-                          requests_per_tenant=SERVE_SMOKE[
-                              "requests_per_tenant"]),
-              block_cache=True)
+    run_serve_sharded(ShardedServeConfig(
+        scheme="perspective", seed=0, tenants=max(SERVE_SMOKE["tenants"]),
+        requests_per_tenant=SERVE_SMOKE["requests_per_tenant"]),
+        block_cache=True)
     total_off = total_on = 0.0
     for seed in SERVE_SMOKE["seeds"]:
         for tenants in SERVE_SMOKE["tenants"]:
-            config = ServeConfig(
+            config = ShardedServeConfig(
                 scheme="perspective", seed=seed, tenants=tenants,
                 requests_per_tenant=SERVE_SMOKE["requests_per_tenant"])
             start = time.perf_counter()
-            off = run_serve(config, block_cache=False)
+            off = run_serve_sharded(config, block_cache=False)
             mid = time.perf_counter()
-            on = run_serve(config, block_cache=True)
+            on = run_serve_sharded(config, block_cache=True)
             end = time.perf_counter()
             assert off.as_dict() == on.as_dict(), \
                 f"serve s{seed}.t{tenants}: report diverged"

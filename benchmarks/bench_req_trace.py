@@ -20,9 +20,9 @@ measures the second, writing a diffgate-compatible snapshot
 
 Two timed configurations over the serve smoke grid:
 
-* ``inactive`` -- plain ``run_serve``: the hooks exist but no recorder
-  or rollup is installed.  This is the tax every untraced serve run
-  pays for the instrumentation being compiled in.
+* ``inactive`` -- plain ``run_serve_sharded``: the hooks exist but no
+  recorder or rollup is installed.  This is the tax every untraced
+  serve run pays for the instrumentation being compiled in.
 * ``active`` -- ``serve_cell`` under a fresh ``TraceRecorder`` +
   ``SloRollup``: every request records admission, scheduler-slice,
   syscall, kernel-function and pipeline steps plus exemplar links.
@@ -46,8 +46,8 @@ import time
 from repro.obs import MetricsRegistry
 from repro.obs.reqtrace import TraceRecorder
 from repro.obs.slo import SloRollup
-from repro.serve.engine import ServeConfig, config_from_params, \
-    run_serve, serve_cell
+from repro.serve.shard import run_serve_sharded, serve_cell, \
+    sharded_config_from_params
 
 #: The serve smoke grid (matches ``python -m repro.serve --smoke``).
 SERVE_SMOKE = {"seeds": (0, 1), "tenants": (2, 3), "requests_per_tenant": 6}
@@ -76,7 +76,8 @@ def _parity_and_census(reg: MetricsRegistry) -> None:
     """Byte-parity assert + deterministic trace census, per cell."""
     for seed, tenants in _grid():
         label = f"s{seed}.t{tenants}"
-        plain = run_serve(config_from_params(_cell_params(seed, tenants)))
+        plain = run_serve_sharded(
+            sharded_config_from_params(_cell_params(seed, tenants)))
         cell = serve_cell(_cell_params(seed, tenants, trace=True,
                                        slo_window=SLO_WINDOW))
         traced_report = {k: v for k, v in cell.items()
@@ -119,7 +120,8 @@ def _timed(fn) -> float:
 def _walls(reg: MetricsRegistry) -> float:
     def inactive() -> None:
         for seed, tenants in _grid():
-            run_serve(config_from_params(_cell_params(seed, tenants)))
+            run_serve_sharded(
+                sharded_config_from_params(_cell_params(seed, tenants)))
 
     def active() -> None:
         for seed, tenants in _grid():

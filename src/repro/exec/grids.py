@@ -320,13 +320,12 @@ def _serve_cells(params: dict[str, Any]) -> CellList:
     config_keys = ("scheme", "requests_per_tenant", "mean_interarrival",
                    "queue_bound", "profiles", "rare_every",
                    "profile_requests",
-                   # Sharding knobs (repro.serve.shard): their presence
-                   # routes cells through the sharded engine.
+                   # Sharding knobs (repro.serve.shard); absent ones
+                   # keep their ShardedServeConfig defaults.
                    "shards", "placement", "migrate_every",
                    "service_model", "memo_warmup", "memo_period",
-                   # Observation-only extras (repro.serve.engine
-                   # serve_cell): the report bytes are identical with or
-                   # without them.
+                   # Observation-only extras (serve_cell): the report
+                   # bytes are identical with or without them.
                    "block_cache", "trace", "slo_window")
     base = {k: params[k] for k in config_keys if k in params}
     return [((str(seed), str(tenants)),
@@ -337,7 +336,7 @@ def _serve_cells(params: dict[str, Any]) -> CellList:
 
 
 def _serve_run(key: Key, cp: dict[str, Any]) -> Any:
-    from repro.serve.engine import serve_cell
+    from repro.serve.shard import serve_cell
     return serve_cell(cp, observe=cp["observe"])
 
 
@@ -612,7 +611,7 @@ _register(Grid(
 
 _register(Grid(
     name="serve",
-    entry_modules=("repro.serve.engine",),
+    entry_modules=("repro.serve.shard",),
     defaults=lambda: {"seeds": [0, 1], "tenants": [2, 3],
                       "scheme": "perspective", "requests_per_tenant": 6,
                       "mean_interarrival": 12_000.0, "queue_bound": 0,

@@ -384,12 +384,12 @@ class InvariantChecker:
         the books must balance exactly (every arrival either completed
         or was shed, every corrupt slot accounted as shed, every fault
         firing accounted as a corrupt shed)."""
-        from repro.serve.engine import ServeConfig, run_serve
+        from repro.serve.shard import ShardedServeConfig, run_serve_sharded
         plane = scenario.plane(self.seed)
-        config = ServeConfig(scheme="perspective", tenants=2, seed=self.seed,
-                             requests_per_tenant=6)
+        config = ShardedServeConfig(scheme="perspective", tenants=2,
+                                    seed=self.seed, requests_per_tenant=6)
         with inject(plane):
-            report = run_serve(config)
+            report = run_serve_sharded(config)
         fires = plane.total_fires()
         arrivals = sum(t.arrivals for t in report.tenants)
         admitted = sum(t.admitted for t in report.tenants)

@@ -5,21 +5,21 @@ ab/redis-benchmark/memslap (Ch. 7) but at *multi-tenant* pressure, where
 the interesting security/perf trade-off lives: context switches between
 distrusting tenants are exactly where ISV/DSV view switches concentrate.
 
-Three layers:
+Four layers:
 
 * :mod:`repro.serve.arrival` -- a seeded open-loop arrival process; a
   pure function of ``(seed, config)``, so schedules are byte-identical
   regardless of process, worker count, or hash seed;
-* :mod:`repro.serve.engine` -- the deterministic traffic engine: tenants
-  are cgroup-backed kernel processes sharing one simulated core; a
-  run-to-completion scheduler charges real context-switch and view-switch
-  costs through the existing pipeline and driver; an admission-control
-  bound sheds load deterministically;
-* :mod:`repro.serve.shard` -- the N-shard scale-out engine: each shard
-  is a private MiniKernel core, tenants are placed by deterministic
-  policies, cross-shard migrations are explicitly charged, and an
-  event-driven scheduler skips idle gaps so million-request experiments
-  finish in seconds;
+* :mod:`repro.serve.engine` -- one simulated core: tenants are
+  cgroup-backed kernel processes sharing it; a run-to-completion
+  scheduler charges real context-switch and view-switch costs through
+  the existing pipeline and driver; an admission-control bound sheds
+  load deterministically;
+* :mod:`repro.serve.shard` -- the serve driver, :func:`run_serve_sharded`:
+  each of ``shards`` (default 1) is a private MiniKernel core, tenants
+  are placed by deterministic policies, cross-shard migrations are
+  explicitly charged, and an event-driven loop skips idle gaps so
+  million-request experiments finish in seconds;
 * :mod:`repro.serve.conformance` -- the cross-scheme differential
   oracle: every defense scheme must produce identical *architectural*
   results on a seeded syscall corpus, differing only in cycle counts.
@@ -39,13 +39,7 @@ from repro.serve.conformance import (
     minimize_divergence,
     run_corpus,
 )
-from repro.serve.engine import (
-    ServeConfig,
-    ServeReport,
-    TenantReport,
-    run_serve,
-    serve_cell,
-)
+from repro.serve.engine import ServeConfig, TenantReport
 from repro.serve.shard import (
     PLACEMENT_POLICIES,
     Placer,
@@ -55,6 +49,7 @@ from repro.serve.shard import (
     plan_placement,
     run_serve_sharded,
     scale_shard_cell,
+    serve_cell,
     static_placement,
 )
 
@@ -64,10 +59,7 @@ __all__ = [
     "arrival_stream",
     "percentile",
     "ServeConfig",
-    "ServeReport",
     "TenantReport",
-    "run_serve",
-    "serve_cell",
     "PLACEMENT_POLICIES",
     "Placer",
     "ShardedServeConfig",
@@ -76,6 +68,7 @@ __all__ = [
     "plan_placement",
     "run_serve_sharded",
     "scale_shard_cell",
+    "serve_cell",
     "static_placement",
     "CONFORMANCE_SCHEMES",
     "ConformanceResult",

@@ -71,9 +71,6 @@ def _run_sweep(args: argparse.Namespace) -> int:
 
     params = dict(SMOKE_SWEEP if args.smoke else DEFAULT_SWEEP)
     params["scheme"] = args.scheme
-    # Routing through the sharded engine (even at --shards 1) keeps one
-    # code path; shards=1 + the full service model is byte-identical to
-    # the single-kernel engine apart from additive shard gauges.
     params["shards"] = args.shards
     # Replay through the block JIT is byte-exact (cache-parity gate), so
     # forcing it on changes only the snapshot's blockcache counters --

@@ -29,12 +29,18 @@ Userspace compute is *not* modeled here: every scheme pays identical
 user cycles per request (defenses gate kernel speculation only), so
 kernel-only figures preserve ordering while keeping the engine fast.
 
+This module holds the per-core building blocks -- request profiles,
+:class:`ServeConfig`, :class:`TenantReport`, tenant boot and the
+scheduler.  The one serve driver that runs them,
+:func:`repro.serve.shard.run_serve_sharded`, places tenants on one or
+more such cores.
+
 Determinism contract
 --------------------
 
-``run_serve(config)`` is a pure function of its config: same seed, same
-byte-identical report, regardless of process, worker count, or
-``PYTHONHASHSEED``.  The parity tests enforce this through the
+``run_serve_sharded(config)`` is a pure function of its config: same
+seed, same byte-identical report, regardless of process, worker count,
+or ``PYTHONHASHSEED``.  The parity tests enforce this through the
 :mod:`repro.exec` ``serve`` grid.
 """
 
@@ -59,7 +65,7 @@ from repro.obs import reqtrace as rt
 from repro.obs import slo
 from repro.reliability.faultplane import fire
 from repro.scanner.kasper import scan
-from repro.serve.arrival import Arrival, arrival_schedule, percentile
+from repro.serve.arrival import Arrival, percentile
 from repro.workloads.apps import APP_SPECS, AppState
 from repro.workloads.driver import Driver
 
@@ -203,55 +209,6 @@ class TenantReport:
         }
 
 
-@dataclass
-class ServeReport:
-    """Aggregate outcome of one engine run (JSON-stable via as_dict)."""
-
-    config: ServeConfig
-    tenants: list[TenantReport] = field(default_factory=list)
-    makespan_cycles: float = 0.0
-
-    @property
-    def completed(self) -> int:
-        return sum(t.completed for t in self.tenants)
-
-    @property
-    def shed(self) -> int:
-        return sum(t.shed for t in self.tenants)
-
-    @property
-    def all_latencies(self) -> list[float]:
-        merged: list[float] = []
-        for tenant in self.tenants:
-            merged.extend(tenant.latencies)
-        return merged
-
-    @property
-    def throughput_rps(self) -> float:
-        if self.makespan_cycles <= 0.0:
-            return 0.0
-        return self.completed * CORE_HZ / self.makespan_cycles
-
-    def as_dict(self) -> dict[str, Any]:
-        latencies = self.all_latencies
-        return {
-            "config": self.config.as_dict(),
-            "makespan_cycles": self.makespan_cycles,
-            "completed": self.completed,
-            "shed": self.shed,
-            "throughput_rps": self.throughput_rps,
-            "latency_p50": percentile(latencies, 50.0) if latencies else 0.0,
-            "latency_p95": percentile(latencies, 95.0) if latencies else 0.0,
-            "latency_p99": percentile(latencies, 99.0) if latencies else 0.0,
-            "kernel_cycles": sum(t.kernel_cycles for t in self.tenants),
-            "switches": sum(t.switches for t in self.tenants),
-            "switch_cycles": sum(t.switch_cycles for t in self.tenants),
-            "fence_stall_cycles": sum(t.fence_stall_cycles
-                                      for t in self.tenants),
-            "tenants": [t.as_dict() for t in self.tenants],
-        }
-
-
 # ---------------------------------------------------------------------------
 # Environment construction (multi-tenant make_env)
 # ---------------------------------------------------------------------------
@@ -345,12 +302,12 @@ def boot_tenants(config: ServeConfig, image=None, *,
 class RunToCompletionScheduler:
     """FIFO run-to-completion scheduling over one shared core.
 
-    Extracted from :func:`run_serve` so the adversarial campaign
-    (:mod:`repro.serve.campaign`) can serve *multiple* offered batches
-    through one persistent instance: the busy clock (``free_at``), the
-    waiting queue, and the last-served tenant all carry across epochs,
-    exactly as they would on a long-lived server.  ``run_serve`` remains
-    a single-batch wrapper around it.
+    Each shard of :func:`repro.serve.shard.run_serve_sharded` runs one
+    (as :class:`repro.serve.shard.ShardScheduler`).  The adversarial
+    campaign (:mod:`repro.serve.campaign`) serves *multiple* offered
+    batches through one persistent instance: the busy clock
+    (``free_at``), the waiting queue, and the last-served tenant all
+    carry across epochs, exactly as they would on a long-lived server.
     """
 
     def __init__(self, tenants: list[Tenant], reports: list[TenantReport],
@@ -381,9 +338,9 @@ class RunToCompletionScheduler:
                 or rec.admit(self.trace_seed, self.trace_cell,
                              arr.tenant, arr.seq, arr.cycle))
 
-    def dispatch(self, arr: Arrival) -> None:
-        tenant = self.tenants[arr.tenant]
-        report = self.reports[arr.tenant]
+    def _open_slice(self, arr: Arrival) -> tuple[float, Any, Any]:
+        """Start serving ``arr``: its start cycle, plus the ambient
+        recorder and its opened trace (``None`` when not tracing)."""
         start = max(self.free_at, arr.cycle)
         rec = rt.active_recorder()
         trace = None
@@ -394,22 +351,21 @@ class RunToCompletionScheduler:
                        {"start_cycle": start,
                         "queue_wait": start - arr.cycle,
                         "switch": self.current != arr.tenant})
-        before_cycles = tenant.driver.stats.kernel_cycles
-        if self.current != arr.tenant:
-            # Context switch, charged through the real pipeline: the
-            # incoming tenant runs the switch path under the armed
-            # scheme (predictor flush, cold view-cache refills, DSVMT
-            # walks for the new ASID -- whatever the scheme costs).
-            switch = tenant.driver.call("sched_yield")
-            report.switches += 1
-            report.switch_cycles += switch.cycles
-            self.current = arr.tenant
-            obs.add("serve.switches")
-            obs.observe("serve.switch_cycles", switch.cycles)
-        tenant.profile.request(tenant.driver, tenant.state, tenant.counter)
-        tenant.counter += 1
-        service = tenant.driver.stats.kernel_cycles - before_cycles
-        completion = start + service
+        return start, rec, trace
+
+    def _note_switch(self, tenant_idx: int, cycles: float) -> None:
+        report = self.reports[tenant_idx]
+        report.switches += 1
+        report.switch_cycles += cycles
+        self.current = tenant_idx
+        obs.add("serve.switches")
+        obs.observe("serve.switch_cycles", cycles)
+
+    def _complete(self, arr: Arrival, start: float, completion: float,
+                  rec, trace) -> None:
+        """Book one finished request: busy clock, latency, histograms,
+        SLO rollup, and the trace close with its exemplars."""
+        report = self.reports[arr.tenant]
         latency = completion - arr.cycle
         self.free_at = completion
         if completion > self.makespan:
@@ -429,6 +385,22 @@ class RunToCompletionScheduler:
                          LATENCY_BUCKETS, trace.trace_id)
             rec.exemplar(f"serve.tenant.{arr.tenant}.latency_cycles",
                          latency, LATENCY_BUCKETS, trace.trace_id)
+
+    def dispatch(self, arr: Arrival) -> None:
+        tenant = self.tenants[arr.tenant]
+        start, rec, trace = self._open_slice(arr)
+        before_cycles = tenant.driver.stats.kernel_cycles
+        if self.current != arr.tenant:
+            # Context switch, charged through the real pipeline: the
+            # incoming tenant runs the switch path under the armed
+            # scheme (predictor flush, cold view-cache refills, DSVMT
+            # walks for the new ASID -- whatever the scheme costs).
+            switch = tenant.driver.call("sched_yield")
+            self._note_switch(arr.tenant, switch.cycles)
+        tenant.profile.request(tenant.driver, tenant.state, tenant.counter)
+        tenant.counter += 1
+        service = tenant.driver.stats.kernel_cycles - before_cycles
+        self._complete(arr, start, start + service, rec, trace)
 
     def offer(self, arr: Arrival) -> None:
         """Handle one arrival: serve whatever starts first, then admit,
@@ -512,33 +484,6 @@ class RunToCompletionScheduler:
             self.makespan = self.free_at
 
 
-def run_serve(config: ServeConfig, image=None, *,
-              block_cache: bool | None = None) -> ServeReport:
-    """Run the full open-loop simulation; returns the per-tenant report.
-
-    ``block_cache`` forces the pipeline's block-trace memoization on or
-    off for the whole cell (boot included); ``None`` keeps the pipeline
-    default.  Not part of :class:`ServeConfig` because replay is
-    byte-exact: the report is identical either way, only wall time
-    changes (the block-JIT benchmark relies on exactly that).
-    """
-    kernel, tenants = boot_tenants(config, image=image,
-                                   block_cache=block_cache)
-    schedule = arrival_schedule(config.seed, config.tenants,
-                                config.requests_per_tenant,
-                                config.mean_interarrival)
-    reports = [TenantReport(tenant=t.index, profile=t.profile.name)
-               for t in tenants]
-    scheduler = RunToCompletionScheduler(
-        tenants, reports, queue_bound=config.queue_bound,
-        trace_seed=config.seed,
-        trace_cell=f"s{config.seed}.t{config.tenants}")
-    scheduler.serve_batch(schedule)
-    collect_tenant_stats(tenants, reports)
-    return ServeReport(config=config, tenants=reports,
-                       makespan_cycles=scheduler.makespan)
-
-
 def collect_tenant_stats(tenants: list[Tenant],
                          reports: list[TenantReport]) -> None:
     """Fold each tenant's driver statistics into its report."""
@@ -549,97 +494,3 @@ def collect_tenant_stats(tenants: list[Tenant],
         report.fence_stall_cycles = stats.exec.fence_stall_cycles
         report.fenced_loads = dict(sorted(
             stats.exec.fenced_loads.items()))
-
-
-# ---------------------------------------------------------------------------
-# Grid cell (the repro.exec fan-out unit)
-# ---------------------------------------------------------------------------
-
-
-def config_from_params(params: dict[str, Any]) -> ServeConfig:
-    """Build a :class:`ServeConfig` from a plain JSON-able param dict."""
-    known = {"scheme", "tenants", "seed", "requests_per_tenant",
-             "mean_interarrival", "queue_bound", "profiles",
-             "rare_every", "profile_requests"}
-    kwargs = {k: v for k, v in params.items() if k in known}
-    if "profiles" in kwargs:
-        kwargs["profiles"] = tuple(kwargs["profiles"])
-    return ServeConfig(**kwargs)
-
-
-def serve_cell(params: dict[str, Any],
-               observe: bool = False) -> dict[str, Any]:
-    """One (seed, tenants) cell of the serve sweep.
-
-    Returns the report as a JSON-able dict; with ``observe=True`` the
-    cell runs inside its own fresh :class:`repro.obs.MetricsRegistry`
-    (the per-cell structure the parallel engine requires) and attaches
-    its snapshot under ``"metrics"``.
-
-    Extra (non-``ServeConfig``) params, all observation-only -- the
-    report bytes are identical with or without them:
-
-    * ``block_cache`` -- force the block JIT on/off for the cell.
-    * ``trace`` -- run under a fresh ``TraceRecorder``; attaches its
-      snapshot under ``"traces"``.
-    * ``slo_window`` -- run under a fresh ``SloRollup`` with this
-      window width (simulated cycles); attaches it under ``"slo"``.
-
-    Sharding params (``shards``, ``placement``, ``migrate_every``,
-    ``service_model``, ``memo_warmup``, ``memo_period``) route the cell
-    through :func:`repro.serve.shard.run_serve_sharded`; with
-    ``shards=1`` and the ``full`` service model that path reproduces
-    this one byte-for-byte (plus additive shard gauges).
-    """
-    from repro.serve.shard import (
-        _SHARD_KEYS, run_serve_sharded, sharded_config_from_params)
-    sharded = any(k in params for k in _SHARD_KEYS)
-    if sharded:
-        config = sharded_config_from_params(params)
-        runner = lambda: run_serve_sharded(  # noqa: E731
-            config, block_cache=params.get("block_cache"))
-    else:
-        config = config_from_params(params)
-        runner = lambda: run_serve(  # noqa: E731
-            config, block_cache=params.get("block_cache"))
-    trace = bool(params.get("trace"))
-    slo_window = params.get("slo_window")
-    if not (observe or trace or slo_window):
-        return runner().as_dict()
-    from contextlib import ExitStack
-
-    from repro.obs import MetricsRegistry, observing
-    registry = MetricsRegistry() if observe else None
-    recorder = rt.TraceRecorder() if trace else None
-    rollup = slo.SloRollup(float(slo_window),
-                           latency_buckets=LATENCY_BUCKETS) \
-        if slo_window else None
-    with ExitStack() as stack:
-        if registry is not None:
-            stack.enter_context(observing(registry))
-        if recorder is not None:
-            stack.enter_context(rt.tracing(recorder))
-        if rollup is not None:
-            stack.enter_context(slo.collecting(rollup))
-        out = runner().as_dict()
-        if registry is not None:
-            # Summary gauges under a per-cell prefix, so merged cell
-            # registries never collide and the smoke snapshot carries
-            # the report figures the diff gate should watch.
-            cell = f"serve.cell.s{config.seed}.t{config.tenants}"
-            keys = ["completed", "shed", "throughput_rps",
-                    "makespan_cycles", "latency_p50", "latency_p95",
-                    "latency_p99", "switch_cycles",
-                    "fence_stall_cycles"]
-            if sharded:
-                keys += ["migrations", "migration_excess_cycles"]
-                obs.gauge(f"{cell}.shards", config.shards)
-            for key in keys:
-                obs.gauge(f"{cell}.{key}", out[key])
-    if registry is not None:
-        out["metrics"] = registry.snapshot()
-    if recorder is not None:
-        out["traces"] = recorder.snapshot()
-    if rollup is not None:
-        out["slo"] = rollup.snapshot()
-    return out

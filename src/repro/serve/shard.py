@@ -1,13 +1,15 @@
 """Sharded multi-core serving: N MiniKernels, placement, migration.
 
-The single-kernel engine (:mod:`repro.serve.engine`) models every tenant
-on one simulated core.  Perspective's costs are fundamentally *per-core*
-state -- ISV/DSV view caches, the DSVMT walker state, the branch unit --
-so the datacenter setting the paper targets needs a multi-core model:
-this module grows the engine into ``shards`` independent cores, each a
-full :class:`MiniKernel` with private speculation state, with tenants
-placed across shards by deterministic policies and cross-shard
-migrations explicitly charged on the destination core.
+This is the serve driver: :func:`run_serve_sharded` (and its grid
+cells, :func:`serve_cell` and :func:`scale_shard_cell`) is the one way
+to run the engine.  :mod:`repro.serve.engine` models one simulated core;
+Perspective's costs are fundamentally *per-core* state -- ISV/DSV view
+caches, the DSVMT walker state, the branch unit -- so the datacenter
+setting the paper targets needs a multi-core model: this module runs
+``shards`` independent cores (one by default), each a full
+:class:`MiniKernel` with private speculation state, with tenants placed
+across shards by deterministic policies and cross-shard migrations
+explicitly charged on the destination core.
 
 Placement policies (all pure functions of the config + schedule):
 
@@ -33,9 +35,8 @@ over the tenant's warm steady state are attributed to
 
 Service models:
 
-* ``full`` -- every request interpreted through the pipeline, exactly
-  as the single-kernel engine does.  ``shards=1`` + ``full`` reproduces
-  :func:`repro.serve.engine.run_serve` byte-for-byte.
+* ``full`` -- every request interpreted through the pipeline by the
+  base :meth:`RunToCompletionScheduler.dispatch`.
 * ``memo`` -- steady-state service memoization: each (tenant, request
   phase, migration-cold, rare-phase) class is interpreted through the
   real pipeline ``memo_warmup`` times, then replayed by pure accounting
@@ -69,10 +70,10 @@ from repro.obs import events as ev
 from repro.obs import registry as obs
 from repro.obs import reqtrace as rt
 from repro.obs import slo
-from repro.serve.arrival import Arrival, arrival_stream
+from repro.serve.arrival import Arrival, arrival_stream, percentile
 from repro.serve.engine import (
     CORE_HZ, LATENCY_BUCKETS, RunToCompletionScheduler, ServeConfig,
-    Tenant, TenantReport, boot_tenants)
+    Tenant, TenantReport, boot_tenants, collect_tenant_stats)
 
 #: Request-mix periodicity per profile: the request bodies in
 #: :mod:`repro.workloads.apps` condition only on ``i % k`` (and httpd /
@@ -148,16 +149,14 @@ class ShardedServeConfig(ServeConfig):
         return period
 
 
-_SHARD_KEYS = frozenset({
-    "shards", "placement", "migrate_every", "service_model",
-    "memo_warmup", "memo_period"})
-
-
 def sharded_config_from_params(params: dict[str, Any]) -> ShardedServeConfig:
-    """Build a :class:`ShardedServeConfig` from a JSON-able param dict."""
+    """Build a :class:`ShardedServeConfig` from a JSON-able param dict
+    (keys that are not config fields are ignored)."""
     known = {"scheme", "tenants", "seed", "requests_per_tenant",
              "mean_interarrival", "queue_bound", "profiles",
-             "rare_every", "profile_requests"} | _SHARD_KEYS
+             "rare_every", "profile_requests", "shards", "placement",
+             "migrate_every", "service_model", "memo_warmup",
+             "memo_period"}
     kwargs = {k: v for k, v in params.items() if k in known}
     if "profiles" in kwargs:
         kwargs["profiles"] = tuple(kwargs["profiles"])
@@ -310,6 +309,16 @@ class _ReplayedStats:
         for kind, count in rec.fenced_loads:
             self.fenced_loads[kind] = self.fenced_loads.get(kind, 0) + count
 
+    def fold_into(self, report: TenantReport) -> None:
+        """Add the replayed accounting on top of the driver's figures."""
+        report.kernel_cycles += self.kernel_cycles
+        report.syscalls += self.syscalls
+        report.fence_stall_cycles += self.fence_stall_cycles
+        fenced = dict(report.fenced_loads)
+        for kind, count in self.fenced_loads.items():
+            fenced[kind] = fenced.get(kind, 0) + count
+        report.fenced_loads = dict(sorted(fenced.items()))
+
 
 # ---------------------------------------------------------------------------
 # The per-shard scheduler
@@ -321,8 +330,9 @@ class ShardScheduler(RunToCompletionScheduler):
 
     Adds migration charging and the ``memo`` service model on top of
     the base scheduler.  In ``full`` mode the dispatch path is the
-    inherited one -- byte-identical behaviour -- plus cold-migration
-    flushes and excess-cycle attribution around it.
+    inherited one plus cold-migration flushes and excess-cycle
+    attribution around it; ``memo`` replaces only the service step and
+    books completions through the same base-class helpers.
     """
 
     def __init__(self, tenants: list[Tenant | None],
@@ -460,88 +470,50 @@ class ShardScheduler(RunToCompletionScheduler):
         else:
             self._warm_obs[key] = total
 
-    def _dispatch_memo(self, arr: Arrival, cold: bool, phase: int) -> None:
-        tenant = self.tenants[arr.tenant]
-        report = self.reports[arr.tenant]
-        start = max(self.free_at, arr.cycle)
-        switched = self.current != arr.tenant
-        rec = rt.active_recorder()
-        trace = None
-        if rec is not None:
-            trace = self._trace_for(rec, arr)
-            rec.open(trace)
-            rec.record("sched", "slice", 0.0,
-                       {"start_cycle": start,
-                        "queue_wait": start - arr.cycle,
-                        "switch": switched})
-        switch_cycles = 0.0
-        if switched:
-            skey = ("sw", arr.tenant, cold, self._rare_phase(tenant))
-            srec = self._switch_memo.get(skey)
-            if srec is not None \
-                    and self._seen.get(skey, 0) >= self.config.memo_warmup:
-                switch_cycles = srec.kernel_cycles
-                self._replay(arr.tenant, srec)
-                self.memo_replays += 1
-                obs.add("serve.memo.replays")
-            else:
-                before = self._snapshot(tenant)
-                tenant.driver.call("sched_yield")
-                srec = self._delta(tenant, before)
-                self._switch_memo[skey] = srec
-                self._seen[skey] = self._seen.get(skey, 0) + 1
-                switch_cycles = srec.kernel_cycles
-                self.memo_interpreted += 1
-                obs.add("serve.memo.interpreted")
-            report.switches += 1
-            report.switch_cycles += switch_cycles
-            self.current = arr.tenant
-            obs.add("serve.switches")
-            obs.observe("serve.switch_cycles", switch_cycles)
-        key = (arr.tenant, phase, cold, self._rare_phase(tenant))
-        mrec = self._service_memo.get(key)
+    def _memoized(self, memo: dict[tuple, MemoRecord], key: tuple,
+                  tenant_idx: int, run, *args) -> tuple[MemoRecord, bool]:
+        """Replay ``key``'s record once it is warm; otherwise interpret
+        ``run(*args)`` through the pipeline and record its cost.
+        Returns the record and whether it was replayed."""
+        mrec = memo.get(key)
         if mrec is not None \
                 and self._seen.get(key, 0) >= self.config.memo_warmup:
-            service = mrec.kernel_cycles
-            self._replay(arr.tenant, mrec)
-            tenant.counter += 1
+            self._replay(tenant_idx, mrec)
             self.memo_replays += 1
             obs.add("serve.memo.replays")
-            if rec is not None:
-                rec.record("service", "memo-replay", service, {})
-        else:
-            before = self._snapshot(tenant)
-            tenant.profile.request(tenant.driver, tenant.state,
-                                   tenant.counter)
-            tenant.counter += 1
-            mrec = self._delta(tenant, before)
-            self._service_memo[key] = mrec
-            self._seen[key] = self._seen.get(key, 0) + 1
-            service = mrec.kernel_cycles
-            self.memo_interpreted += 1
-            obs.add("serve.memo.interpreted")
+            return mrec, True
+        tenant = self.tenants[tenant_idx]
+        before = self._snapshot(tenant)
+        run(*args)
+        mrec = self._delta(tenant, before)
+        memo[key] = mrec
+        self._seen[key] = self._seen.get(key, 0) + 1
+        self.memo_interpreted += 1
+        obs.add("serve.memo.interpreted")
+        return mrec, False
+
+    def _dispatch_memo(self, arr: Arrival, cold: bool, phase: int) -> None:
+        tenant = self.tenants[arr.tenant]
+        start, rec, trace = self._open_slice(arr)
+        switch_cycles = 0.0
+        if self.current != arr.tenant:
+            skey = ("sw", arr.tenant, cold, self._rare_phase(tenant))
+            srec, _ = self._memoized(self._switch_memo, skey, arr.tenant,
+                                     tenant.driver.call, "sched_yield")
+            switch_cycles = srec.kernel_cycles
+            self._note_switch(arr.tenant, switch_cycles)
+        key = (arr.tenant, phase, cold, self._rare_phase(tenant))
+        mrec, replayed = self._memoized(
+            self._service_memo, key, arr.tenant, tenant.profile.request,
+            tenant.driver, tenant.state, tenant.counter)
+        tenant.counter += 1
+        service = mrec.kernel_cycles
+        if replayed and rec is not None:
+            rec.record("service", "memo-replay", service, {})
         self._account_cost(arr.tenant, phase, cold,
                            switch_cycles + service)
-        completion = start + switch_cycles + service
-        latency = completion - arr.cycle
-        self.free_at = completion
-        if completion > self.makespan:
-            self.makespan = completion
-        report.completed += 1
-        report.latencies.append(latency)
-        obs.observe("serve.latency_cycles", latency,
-                    buckets=LATENCY_BUCKETS)
-        obs.observe(f"serve.tenant.{arr.tenant}.latency_cycles", latency,
-                    buckets=LATENCY_BUCKETS)
-        obs.add("serve.requests.completed")
-        slo.record_request(completion, latency)
-        if rec is not None:
-            rec.close(trace, "completed", start_cycle=start,
-                      completion_cycle=completion, latency_cycles=latency)
-            rec.exemplar("serve.latency_cycles", latency,
-                         LATENCY_BUCKETS, trace.trace_id)
-            rec.exemplar(f"serve.tenant.{arr.tenant}.latency_cycles",
-                         latency, LATENCY_BUCKETS, trace.trace_id)
+        self._complete(arr, start, start + switch_cycles + service,
+                       rec, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -604,13 +576,7 @@ class ShardReport:
 
 @dataclass
 class ShardedServeReport:
-    """Aggregate outcome across all shards.
-
-    ``as_dict()`` is a strict superset of the single-kernel
-    :class:`repro.serve.engine.ServeReport` dict: with ``shards=1`` and
-    the ``full`` service model every shared key -- including the
-    per-tenant reports -- is byte-identical to ``run_serve``'s.
-    """
+    """Aggregate outcome across all shards (JSON-stable via as_dict)."""
 
     config: ShardedServeConfig
     tenants: list[TenantReport] = field(default_factory=list)
@@ -631,22 +597,25 @@ class ShardedServeReport:
         return sum(t.shed for t in self.tenants)
 
     @property
+    def all_latencies(self) -> list[float]:
+        merged: list[float] = []
+        for tenant in self.tenants:
+            merged.extend(tenant.latencies)
+        return merged
+
+    @property
     def throughput_rps(self) -> float:
         if self.makespan_cycles <= 0.0:
             return 0.0
         return self.completed * CORE_HZ / self.makespan_cycles
 
     def as_dict(self) -> dict[str, Any]:
-        latencies: list[float] = []
-        for tenant in self.tenants:
-            latencies.extend(tenant.latencies)
-        ordered = sorted(latencies)
+        # Sorted once up front: percentile's own sort of a sorted list
+        # is linear, which matters at 10^6 latencies.
+        ordered = sorted(self.all_latencies)
 
         def pct(q: float) -> float:
-            if not ordered:
-                return 0.0
-            rank = max(1, math.ceil(q / 100.0 * len(ordered)))
-            return ordered[rank - 1]
+            return percentile(ordered, q) if ordered else 0.0
 
         return {
             "config": self.config.as_dict(),
@@ -714,27 +683,16 @@ def _boot_shard(config: ShardedServeConfig, index: int,
 
 
 def _collect_shard(state: ShardState) -> None:
-    """Fold driver stats plus replayed-dispatch accounting into the
-    shard's per-tenant reports (the sharded collect_tenant_stats)."""
+    """Fold driver stats, then replayed-dispatch accounting, into the
+    shard's per-tenant reports."""
     if state.sched is None:
         return
+    collect_tenant_stats([state.tenants[idx] for idx in state.members],
+                         [state.reports[idx] for idx in state.members])
     for idx in state.members:
-        tenant = state.tenants[idx]
-        report = state.reports[idx]
-        stats = tenant.driver.stats
         replayed = state.sched._replayed.get(idx)
-        extra_cycles = replayed.kernel_cycles if replayed else 0.0
-        extra_sys = replayed.syscalls if replayed else 0
-        extra_stall = replayed.fence_stall_cycles if replayed else 0.0
-        report.kernel_cycles = stats.kernel_cycles + extra_cycles
-        report.syscalls = stats.syscalls + extra_sys
-        report.fence_stall_cycles = \
-            stats.exec.fence_stall_cycles + extra_stall
-        fenced = dict(stats.exec.fenced_loads)
-        if replayed:
-            for kind, count in replayed.fenced_loads.items():
-                fenced[kind] = fenced.get(kind, 0) + count
-        report.fenced_loads = dict(sorted(fenced.items()))
+        if replayed is not None:
+            replayed.fold_into(state.reports[idx])
 
 
 def _shard_report(state: ShardState) -> ShardReport:
@@ -787,6 +745,32 @@ def _merge_tenant_reports(config: ShardedServeConfig,
     return merged
 
 
+def _offer_routed(placer: Placer, scheds: dict[int, ShardScheduler],
+                  arr: Arrival) -> None:
+    """Route one arrival; the shard it lands on (when served here) is
+    told of a migration first, then offered the arrival."""
+    shard, migration = placer.route(arr)
+    sched = scheds.get(shard)
+    if sched is None:
+        return
+    if migration is not None:
+        sched.note_migration(arr.tenant, migration.src)
+    sched.offer(arr)
+
+
+def _serve_events(config: ShardedServeConfig,
+                  scheds: dict[int, ShardScheduler]) -> Placer:
+    """The event loop: stream every arrival through a fresh placer to
+    the schedulers in ``scheds`` (keyed by shard index; arrivals routed
+    elsewhere are skipped), then drain them in key order."""
+    placer = Placer(config)
+    for arr in _arrivals(config):
+        _offer_routed(placer, scheds, arr)
+    for sched in scheds.values():
+        sched.drain()
+    return placer
+
+
 def run_serve_sharded(config: ShardedServeConfig, image=None, *,
                       block_cache: bool | None = None,
                       mode: str = "event",
@@ -817,34 +801,25 @@ def run_serve_sharded(config: ShardedServeConfig, image=None, *,
         for state, tables in zip(states, memo_seed):
             if state.sched is not None:
                 state.sched.preload_memo(tables)
-    placer = Placer(config)
+    scheds = {state.index: state.sched for state in states
+              if state.sched is not None}
     started = time.perf_counter()
     if mode == "event":
-        for arr in _arrivals(config):
-            shard, migration = placer.route(arr)
-            sched = states[shard].sched
-            if migration is not None:
-                sched.note_migration(arr.tenant, migration.src)
-            sched.offer(arr)
+        placer = _serve_events(config, scheds)
     else:
+        placer = Placer(config)
         stream = _arrivals(config)
         pending = next(stream, None)
         now = 0.0
         while pending is not None:
             now += dense_quantum
             while pending is not None and pending.cycle <= now:
-                shard, migration = placer.route(pending)
-                sched = states[shard].sched
-                if migration is not None:
-                    sched.note_migration(pending.tenant, migration.src)
-                sched.offer(pending)
+                _offer_routed(placer, scheds, pending)
                 pending = next(stream, None)
-            for state in states:
-                if state.sched is not None:
-                    state.sched.drain_until(now)
-    for state in states:
-        if state.sched is not None:
-            state.sched.drain()
+            for sched in scheds.values():
+                sched.drain_until(now)
+        for sched in scheds.values():
+            sched.drain()
     serve_seconds = time.perf_counter() - started
     for state in states:
         _collect_shard(state)
@@ -866,6 +841,79 @@ def memo_tables_of(report: ShardedServeReport) -> list[dict]:
     into a fresh engine of the same config)."""
     return [state.sched.memo_tables() if state.sched is not None else {}
             for state in report._states]
+
+
+# ---------------------------------------------------------------------------
+# The serve grid cell (the repro.exec fan-out unit)
+# ---------------------------------------------------------------------------
+
+
+def serve_cell(params: dict[str, Any],
+               observe: bool = False) -> dict[str, Any]:
+    """One (seed, tenants) cell of the serve sweep.
+
+    Builds the config with :func:`sharded_config_from_params` (one
+    shard and the ``full`` service model unless the params say
+    otherwise) and returns the :func:`run_serve_sharded` report as a
+    JSON-able dict; with ``observe=True`` the cell runs inside its own
+    fresh :class:`repro.obs.MetricsRegistry` (the per-cell structure the
+    parallel engine requires) and attaches its snapshot under
+    ``"metrics"``.
+
+    Extra (non-config) params, all observation-only -- the report bytes
+    are identical with or without them:
+
+    * ``block_cache`` -- force the block JIT on/off for the cell.
+    * ``trace`` -- run under a fresh ``TraceRecorder``; attaches its
+      snapshot under ``"traces"``.
+    * ``slo_window`` -- run under a fresh ``SloRollup`` with this
+      window width (simulated cycles); attaches it under ``"slo"``.
+    """
+    config = sharded_config_from_params(params)
+
+    def run() -> dict[str, Any]:
+        return run_serve_sharded(
+            config, block_cache=params.get("block_cache")).as_dict()
+
+    trace = bool(params.get("trace"))
+    slo_window = params.get("slo_window")
+    if not (observe or trace or slo_window):
+        return run()
+    from contextlib import ExitStack
+
+    from repro.obs import MetricsRegistry, observing
+    registry = MetricsRegistry() if observe else None
+    recorder = rt.TraceRecorder() if trace else None
+    rollup = slo.SloRollup(float(slo_window),
+                           latency_buckets=LATENCY_BUCKETS) \
+        if slo_window else None
+    with ExitStack() as stack:
+        if registry is not None:
+            stack.enter_context(observing(registry))
+        if recorder is not None:
+            stack.enter_context(rt.tracing(recorder))
+        if rollup is not None:
+            stack.enter_context(slo.collecting(rollup))
+        out = run()
+        if registry is not None:
+            # Summary gauges under a per-cell prefix, so merged cell
+            # registries never collide and the smoke snapshot carries
+            # the report figures the diff gate should watch.
+            cell = f"serve.cell.s{config.seed}.t{config.tenants}"
+            obs.gauge(f"{cell}.shards", config.shards)
+            for key in ("completed", "shed", "throughput_rps",
+                        "makespan_cycles", "latency_p50", "latency_p95",
+                        "latency_p99", "switch_cycles",
+                        "fence_stall_cycles", "migrations",
+                        "migration_excess_cycles"):
+                obs.gauge(f"{cell}.{key}", out[key])
+    if registry is not None:
+        out["metrics"] = registry.snapshot()
+    if recorder is not None:
+        out["traces"] = recorder.snapshot()
+    if rollup is not None:
+        out["slo"] = rollup.snapshot()
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -907,21 +955,11 @@ def scale_shard_cell(params: dict[str, Any]) -> dict[str, Any]:
     """
     config = sharded_config_from_params(params)
     shard_index = int(params["shard"])
-    members, migrations, _ = plan_placement(config)
+    members, _, _ = plan_placement(config)
     state = _boot_shard(config, shard_index, members[shard_index],
                         block_cache=params.get("block_cache"))
-    placer = Placer(config)
-    started = time.perf_counter()
-    for arr in _arrivals(config):
-        shard, migration = placer.route(arr)
-        if shard != shard_index:
-            continue
-        if migration is not None:
-            state.sched.note_migration(arr.tenant, migration.src)
-        state.sched.offer(arr)
-    if state.sched is not None:
-        state.sched.drain()
-    serve_seconds = time.perf_counter() - started
+    _serve_events(config, {} if state.sched is None
+                  else {shard_index: state.sched})
     _collect_shard(state)
     shard_report = _shard_report(state)
     latencies: list[float] = []
@@ -942,8 +980,6 @@ def scale_shard_cell(params: dict[str, Any]) -> dict[str, Any]:
         "report": shard_report.as_dict(),
         "tenants": tenant_rows,
         "latency_hist": latency_histogram(latencies),
-        "migrations_total": len(migrations),
-        "serve_seconds": serve_seconds,
     }
 
 

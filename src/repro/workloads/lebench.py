@@ -168,7 +168,7 @@ def run_lebench(kernel: MiniKernel, proc: Process,
     original LEBench methodology of measuring steady state.
 
     ``collect_stats`` (optional) receives each test's post-ROI
-    :class:`~repro.workloads.driver.DriverStats`, so callers can derive
+    :class:`~repro.workloads.driver.RunStats`, so callers can derive
     fence rates from the same run they took the cycles from.
     """
     results: dict[str, float] = {}

@@ -40,7 +40,7 @@ class TestGuardAccounting:
     @pytest.mark.parametrize("scheme", NEW_SCHEMES)
     def test_refusals_conserved_in_named_buckets(self, scheme):
         from repro.cpu.blockcache import MISS_REASONS
-        from repro.serve.engine import serve_cell
+        from repro.serve.shard import serve_cell
 
         cell = serve_cell({"seed": 0, "tenants": 2, "scheme": scheme,
                            "requests_per_tenant": 4,
@@ -64,7 +64,7 @@ class TestGuardAccounting:
         registry-derived metric label, so a newly registered scheme can
         neither collide with nor silently vanish from the namespace."""
         from repro.defenses.registry import get_scheme
-        from repro.serve.engine import serve_cell
+        from repro.serve.shard import serve_cell
 
         cell = serve_cell({"seed": 0, "tenants": 2, "scheme": scheme,
                            "requests_per_tenant": 4,

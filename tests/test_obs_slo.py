@@ -179,33 +179,50 @@ class TestServeCellConservation:
     def test_miss_reasons_and_exemplars_conserve(self):
         from repro.cpu.blockcache import MISS_REASONS
         from repro.obs.dashboard import parse_attribution
-        from repro.serve.engine import serve_cell
+        from repro.serve.shard import serve_cell
 
-        cell = serve_cell(dict(self.PARAMS), observe=True)
-        counters = cell["metrics"]["counters"]
-        misses = counters["pipeline.blockcache.misses"]
-        by_reason = {r: counters.get(f"pipeline.blockcache.miss.{r}", 0)
-                     for r in MISS_REASONS}
-        assert sum(by_reason.values()) == misses > 0
-        attributed: dict[str, int] = {}
-        for scheme_attr in parse_attribution(counters).values():
-            for fns in scheme_attr.values():
-                for reason, count in fns.items():
-                    attributed[reason] = attributed.get(reason, 0) + count
-        assert attributed == {r: n for r, n in by_reason.items() if n}
+        # Both service models book completions through the same
+        # scheduler helpers; each must account every request once.
+        # memo_period=1 folds every request into one memo class, so the
+        # memo run replays as well as interprets.
+        for model in ("full", "memo"):
+            cell = serve_cell(dict(self.PARAMS, service_model=model,
+                                   memo_period=1), observe=True)
+            counters = cell["metrics"]["counters"]
+            misses = counters["pipeline.blockcache.misses"]
+            by_reason = {
+                r: counters.get(f"pipeline.blockcache.miss.{r}", 0)
+                for r in MISS_REASONS}
+            assert sum(by_reason.values()) == misses > 0
+            attributed: dict[str, int] = {}
+            for scheme_attr in parse_attribution(counters).values():
+                for fns in scheme_attr.values():
+                    for reason, count in fns.items():
+                        attributed[reason] = \
+                            attributed.get(reason, 0) + count
+            assert attributed == {r: n for r, n in by_reason.items() if n}
 
-        recorder = TraceRecorder.from_snapshot(cell["traces"])
-        assert recorder.exemplars, "completed requests must leave exemplars"
-        for buckets in recorder.exemplars.values():
-            for ids in buckets.values():
-                for tid in ids:
-                    assert recorder.resolve(tid) is not None
+            recorder = TraceRecorder.from_snapshot(cell["traces"])
+            assert recorder.exemplars, \
+                "completed requests must leave exemplars"
+            for buckets in recorder.exemplars.values():
+                for ids in buckets.values():
+                    for tid in ids:
+                        assert recorder.resolve(tid) is not None
 
-        rollup = SloRollup.from_snapshot(cell["slo"])
-        completed = sum(w.requests for w in rollup.windows.values())
-        shed = sum(w.shed for w in rollup.windows.values())
-        assert completed == cell["completed"]
-        assert shed == cell["shed"]
+            rollup = SloRollup.from_snapshot(cell["slo"])
+            completed = sum(w.requests for w in rollup.windows.values())
+            shed = sum(w.shed for w in rollup.windows.values())
+            assert completed == cell["completed"], model
+            assert shed == cell["shed"], model
+            histogram = cell["metrics"]["histograms"][
+                "serve.latency_cycles"]
+            assert histogram["count"] == cell["completed"], model
+            closed = sum(1 for trace in recorder.traces.values()
+                         if trace.outcome == "completed")
+            assert closed == cell["completed"], model
+            if model == "memo":
+                assert cell["memo_replays"] > 0
 
 
 def _alert(context: int, index: int = 0) -> SloAlert:

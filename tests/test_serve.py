@@ -9,19 +9,14 @@ import json
 import pytest
 
 from repro.exec import EngineConfig, ExperimentEngine
-from repro.serve import (
-    Arrival,
-    ServeConfig,
-    arrival_schedule,
-    percentile,
-    run_serve,
-)
+from repro.serve import arrival_schedule, percentile
 from repro.serve.arrival import tenant_arrivals
-from repro.serve.engine import (
-    REQUEST_PROFILES,
-    boot_tenants,
-    config_from_params,
+from repro.serve.engine import REQUEST_PROFILES, boot_tenants
+from repro.serve.shard import (
+    ShardedServeConfig,
+    run_serve_sharded,
     serve_cell,
+    sharded_config_from_params,
 )
 from repro.serve.__main__ import _parse_seeds, main as serve_main
 
@@ -97,90 +92,87 @@ class TestPercentile:
 # ---------------------------------------------------------------------------
 
 
+def serve(image, **overrides):
+    """One single-shard run of FAST with ``overrides`` applied."""
+    return run_serve_sharded(ShardedServeConfig(**{**FAST, **overrides}),
+                             image=image)
+
+
 class TestEngine:
     def test_run_is_deterministic(self, image):
-        cfg = ServeConfig(seed=2, **FAST)
-        r1 = run_serve(cfg, image=image)
-        r2 = run_serve(cfg, image=image)
+        r1 = serve(image, seed=2)
+        r2 = serve(image, seed=2)
         assert canon(r1.as_dict()) == canon(r2.as_dict())
 
     def test_unbounded_queue_completes_everything(self, image):
-        report = run_serve(ServeConfig(seed=0, **FAST), image=image)
+        report = serve(image, seed=0)
         assert report.shed == 0
         assert report.completed == 2 * 5
         for tenant in report.tenants:
             assert tenant.arrivals == tenant.admitted == tenant.completed
 
     def test_backpressure_sheds_deterministically(self, image):
-        cfg = ServeConfig(seed=0, queue_bound=1,
-                          **{**FAST, "mean_interarrival": 300.0,
-                             "requests_per_tenant": 8})
-        r1 = run_serve(cfg, image=image)
+        overload = dict(seed=0, queue_bound=1, mean_interarrival=300.0,
+                        requests_per_tenant=8)
+        r1 = serve(image, **overload)
         assert r1.shed > 0, "tiny queue under overload must shed"
-        r2 = run_serve(cfg, image=image)
+        r2 = serve(image, **overload)
         assert canon(r1.as_dict()) == canon(r2.as_dict())
 
     def test_admitted_requests_never_drop(self, image):
-        cfg = ServeConfig(seed=3, queue_bound=2,
-                          **{**FAST, "mean_interarrival": 500.0})
-        report = run_serve(cfg, image=image)
+        report = serve(image, seed=3, queue_bound=2,
+                       mean_interarrival=500.0)
         for tenant in report.tenants:
             assert tenant.admitted == tenant.completed
             assert tenant.arrivals == tenant.admitted + tenant.shed
             assert len(tenant.latencies) == tenant.completed
 
     def test_shedding_reduces_tail_latency(self, image):
-        overload = {**FAST, "mean_interarrival": 300.0,
-                    "requests_per_tenant": 10}
-        open_loop = run_serve(ServeConfig(seed=1, **overload), image=image)
-        bounded = run_serve(ServeConfig(seed=1, queue_bound=1, **overload),
-                            image=image)
+        overload = dict(seed=1, mean_interarrival=300.0,
+                        requests_per_tenant=10)
+        open_loop = serve(image, **overload)
+        bounded = serve(image, queue_bound=1, **overload)
         assert bounded.shed > 0
         p99 = percentile(open_loop.all_latencies, 99.0)
         assert percentile(bounded.all_latencies, 99.0) < p99
 
     def test_context_switches_are_charged(self, image):
-        report = run_serve(ServeConfig(seed=0, **FAST), image=image)
+        report = serve(image, seed=0)
         switches = sum(t.switches for t in report.tenants)
         # Interleaved tenants must switch more than once and pay for it.
         assert switches > 1
         assert sum(t.switch_cycles for t in report.tenants) > 0
 
     def test_single_tenant_switches_once(self, image):
-        cfg = ServeConfig(seed=0, **{**FAST, "tenants": 1})
-        report = run_serve(cfg, image=image)
+        report = serve(image, seed=0, tenants=1)
         assert sum(t.switches for t in report.tenants) == 1
 
     def test_fence_attribution_per_tenant(self, image):
-        fenced = run_serve(ServeConfig(seed=0, **FAST), image=image)
+        fenced = serve(image, seed=0)
         for tenant in fenced.tenants:
             assert tenant.fence_stall_cycles > 0
             assert sum(tenant.fenced_loads.values()) > 0
-        unsafe = run_serve(
-            ServeConfig(seed=0, **{**FAST, "scheme": "unsafe"}),
-            image=image)
+        unsafe = serve(image, seed=0, scheme="unsafe")
         for tenant in unsafe.tenants:
             assert tenant.fence_stall_cycles == 0
             assert tenant.fenced_loads == {}
 
     def test_scheme_ordering_on_total_cycles(self, image):
         def cycles(scheme):
-            cfg = ServeConfig(seed=0, **{**FAST, "scheme": scheme})
-            report = run_serve(cfg, image=image)
+            report = serve(image, seed=0, scheme=scheme)
             return sum(t.kernel_cycles for t in report.tenants)
         unsafe, fence = cycles("unsafe"), cycles("fence")
         perspective = cycles("perspective")
         assert unsafe < perspective < fence
 
     def test_latency_percentiles_monotone(self, image):
-        d = run_serve(ServeConfig(seed=4, **FAST), image=image).as_dict()
+        d = serve(image, seed=4).as_dict()
         assert d["latency_p50"] <= d["latency_p95"] <= d["latency_p99"]
         assert d["throughput_rps"] > 0
 
     def test_profiles_cycle_across_tenants(self, image):
-        cfg = ServeConfig(seed=0, profiles=("httpd", "lebench"),
-                          **{k: v for k, v in FAST.items()
-                             if k != "tenants"}, tenants=3)
+        cfg = ShardedServeConfig(**{**FAST, "seed": 0, "tenants": 3,
+                                    "profiles": ("httpd", "lebench")})
         _, tenants = boot_tenants(cfg, image=image)
         assert [t.profile.name for t in tenants] == \
             ["httpd", "lebench", "httpd"]
@@ -189,13 +181,14 @@ class TestEngine:
         for name in ("httpd", "nginx", "memcached", "redis", "lebench"):
             assert name in REQUEST_PROFILES
 
-    def test_config_from_params_ignores_extras(self):
-        cfg = config_from_params({"scheme": "fence", "tenants": 2,
-                                  "profiles": ["httpd"], "observe": True,
-                                  "seed": 9})
+    def test_sharded_config_from_params_ignores_extras(self):
+        cfg = sharded_config_from_params({
+            "scheme": "fence", "tenants": 2, "profiles": ["httpd"],
+            "observe": True, "trace": True, "seed": 9})
         assert cfg.scheme == "fence"
         assert cfg.profiles == ("httpd",)
         assert cfg.seed == 9
+        assert (cfg.shards, cfg.service_model) == (1, "full")
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import math
 from hypothesis import given, settings, strategies as st
 
 from repro.kernel.image import shared_image
-from repro.serve import ServeConfig, arrival_schedule, percentile, run_serve
+from repro.serve import arrival_schedule, percentile
 from repro.serve.arrival import arrival_stream, tenant_arrivals
 from repro.serve.shard import (
     Placer,
@@ -117,12 +117,12 @@ class TestBackpressureConservation:
            st.sampled_from([300.0, 900.0, 4_000.0]))
     @settings(max_examples=6, deadline=None)
     def test_admitted_always_complete(self, seed, queue_bound, mean):
-        config = ServeConfig(scheme="fence", tenants=2, seed=seed,
-                             requests_per_tenant=4,
-                             mean_interarrival=mean,
-                             queue_bound=queue_bound,
-                             profile_requests=1)
-        report = run_serve(config, image=shared_image())
+        config = ShardedServeConfig(scheme="fence", tenants=2, seed=seed,
+                                    requests_per_tenant=4,
+                                    mean_interarrival=mean,
+                                    queue_bound=queue_bound,
+                                    profile_requests=1)
+        report = run_serve_sharded(config, image=shared_image())
         offered = 2 * 4
         assert sum(t.arrivals for t in report.tenants) == offered
         for tenant in report.tenants:
@@ -131,7 +131,7 @@ class TestBackpressureConservation:
             assert len(tenant.latencies) == tenant.completed
             assert all(lat >= 0 for lat in tenant.latencies)
         # Determinism under the same drawn example, byte-for-byte.
-        again = run_serve(config, image=shared_image())
+        again = run_serve_sharded(config, image=shared_image())
         assert json.dumps(report.as_dict(), sort_keys=True) == \
             json.dumps(again.as_dict(), sort_keys=True)
 

@@ -1,7 +1,7 @@
 """The sharded multi-core serving engine (:mod:`repro.serve.shard`):
-single-shard parity with the legacy engine, event-vs-dense scheduling
-equivalence, placement policies, migration charging, the memoized
-service model, the scale-grid cells, and the CLI."""
+event-vs-dense scheduling equivalence, placement policies, migration
+charging, the memoized service model, the scale-grid cells, and the
+CLI."""
 
 from __future__ import annotations
 
@@ -11,8 +11,7 @@ import pytest
 
 from repro.exec import EngineConfig, ExperimentEngine
 from repro.obs import events as ev
-from repro.serve import ServeConfig, run_serve
-from repro.serve.engine import serve_cell
+from repro.serve import ServeConfig
 from repro.serve.shard import (
     PLACEMENT_POLICIES,
     Placer,
@@ -25,6 +24,7 @@ from repro.serve.shard import (
     plan_placement,
     run_serve_sharded,
     scale_shard_cell,
+    serve_cell,
     sharded_config_from_params,
     static_placement,
 )
@@ -106,34 +106,6 @@ class TestConfig:
             if migration is not None:
                 assert migration.dst == shard
                 assert migration.src != migration.dst
-
-
-# ---------------------------------------------------------------------------
-# Single-shard parity with the legacy engine
-# ---------------------------------------------------------------------------
-
-
-class TestSingleShardParity:
-    def test_full_model_matches_run_serve_byte_exact(self):
-        legacy = run_serve(ServeConfig(**BASE)).as_dict()
-        sharded = run_serve_sharded(
-            ShardedServeConfig(**BASE, shards=1)).as_dict()
-        for key, value in legacy.items():
-            if key == "config":
-                continue
-            assert canon(sharded[key]) == canon(value), key
-        # config is a superset; tenants (the per-tenant reports) must be
-        # byte-identical.
-        assert canon(sharded["tenants"]) == canon(legacy["tenants"])
-
-    def test_rare_paths_and_queueing_still_match(self):
-        params = dict(BASE, requests_per_tenant=8, rare_every=5,
-                      queue_bound=2, mean_interarrival=1_500.0)
-        legacy = run_serve(ServeConfig(**params)).as_dict()
-        sharded = run_serve_sharded(
-            ShardedServeConfig(**params, shards=1)).as_dict()
-        assert canon(sharded["tenants"]) == canon(legacy["tenants"])
-        assert sharded["makespan_cycles"] == legacy["makespan_cycles"]
 
 
 # ---------------------------------------------------------------------------
