@@ -2,16 +2,17 @@
 
 Each kernel code page has a companion ISV page at a fixed VA offset holding
 one bit per instruction slot.  Pages are populated *on demand*: the first
-ISV-cache miss touching a code page triggers population from the context's
-function-granularity view.  This keeps setup cost proportional to the code
-actually executed, not the kernel size.
+ISV-cache miss touching a code page fills that page from the context's
+function-granularity view, one range of slots per function on the page.
+This keeps setup cost proportional to the code actually executed, not the
+kernel size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.cpu.isa import CodeLayout, OP_SIZE
+from repro.cpu.isa import OP_SIZE
 from repro.core.views import InstructionSpeculationView
 from repro.kernel.layout import ISV_PAGE_OFFSET, PAGE_SIZE
 
@@ -25,10 +26,8 @@ class ISVPageStats:
 class ISVPageTable:
     """Demand-populated ISV bitmap pages for one context's ISV."""
 
-    def __init__(self, isv: InstructionSpeculationView,
-                 layout: CodeLayout) -> None:
+    def __init__(self, isv: InstructionSpeculationView) -> None:
         self.isv = isv
-        self.layout = layout
         self._pages: dict[int, list[bool]] = {}  # code page no -> bits
         self.stats = ISVPageStats()
 
@@ -38,10 +37,19 @@ class ISVPageTable:
         return (code_va & ~(PAGE_SIZE - 1)) + ISV_PAGE_OFFSET
 
     def _populate(self, code_page: int) -> list[bool]:
+        """Fill one code page's bits by function range.
+
+        Each view function with slots on the page sets one slice, as
+        resolved by ``isv.layout`` -- the layout ``isv.contains_va``
+        uses, so every bit equals ``contains_va`` of its slot.
+        """
         base_va = code_page * PAGE_SIZE
-        slots = PAGE_SIZE // OP_SIZE
-        bits = [self.isv.contains_va(base_va + i * OP_SIZE)
-                for i in range(slots)]
+        bits = [False] * (PAGE_SIZE // OP_SIZE)
+        functions = self.isv.functions
+        for func, first, end in self.isv.layout.function_slots(
+                base_va, base_va + PAGE_SIZE):
+            if func.name in functions:
+                bits[first:end] = [True] * (end - first)
         self._pages[code_page] = bits
         self.stats.populated_pages += 1
         return bits

@@ -20,7 +20,9 @@ the pipeline translates them through the executing context's address space.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 
 class Op(enum.Enum):
@@ -448,6 +450,35 @@ class CodeLayout:
             return None
         return func, (va - base) // OP_SIZE
 
+    def function_slots(self, lo: int, hi: int
+                       ) -> list[tuple[Function, int, int]]:
+        """The functions owning the op slots ``lo + i * OP_SIZE < hi``.
+
+        Returns ``(function, first_slot, end_slot)`` in address order, one
+        per function with at least one slot in range: ``resolve_va`` maps
+        slot ``i`` to that function exactly when ``first_slot <= i <
+        end_slot``.  As there, a body that grew past its stride is clipped
+        at the next function's base, its length is read now, and a slot
+        partly inside a function (unaligned ``text_base``) rounds up.
+        """
+        by_va = self._by_va
+        n = len(by_va)
+        out = []
+        first_idx = max(bisect_right(by_va, lo, key=itemgetter(0)) - 1, 0)
+        for idx in range(first_idx, n):
+            base, func = by_va[idx]
+            if base >= hi:
+                break
+            start = max(base, func.base_va, lo)
+            stop = min(func.end_va, hi)
+            if idx + 1 < n:
+                stop = min(stop, by_va[idx + 1][0])
+            first = -((lo - start) // OP_SIZE)
+            end = -((lo - stop) // OP_SIZE)
+            if first < end:
+                out.append((func, first, end))
+        return out
+
     @property
     def text_end(self) -> int:
         return self._next_va
@@ -523,3 +554,19 @@ class OverlayCodeLayout:
         if va >= self._local.text_base:
             return self._local.resolve_va(va)
         return self.base.resolve_va(va)
+
+    def function_slots(self, lo: int, hi: int
+                       ) -> list[tuple[Function, int, int]]:
+        """:meth:`CodeLayout.function_slots`, split by region like
+        :meth:`resolve_va`: slots at or above the overlay base resolve
+        locally."""
+        split = self._local.text_base
+        if lo >= split:
+            return self._local.function_slots(lo, hi)
+        if hi <= split:
+            return self.base.function_slots(lo, hi)
+        k = -((lo - split) // OP_SIZE)  # first slot in the overlay region
+        mid = lo + k * OP_SIZE
+        return self.base.function_slots(lo, mid) + [
+            (func, first + k, end + k)
+            for func, first, end in self._local.function_slots(mid, hi)]

@@ -3,6 +3,8 @@ caches, the DSV registry, and the framework wiring."""
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +15,7 @@ from repro.core.framework import Perspective
 from repro.core.hardware import ViewCache, isv_block_of
 from repro.core.isv import ISVPageTable
 from repro.core.views import InstructionSpeculationView
+from repro.cpu.isa import CodeLayout, Function, OP_SIZE, nop
 from repro.kernel.buddy import BuddyAllocator
 from repro.kernel.layout import ISV_PAGE_OFFSET, PAGE_SIZE
 
@@ -20,6 +23,41 @@ from repro.kernel.layout import ISV_PAGE_OFFSET, PAGE_SIZE
 def make_isv(image, names, ctx=1, source="static"):
     return InstructionSpeculationView(ctx, frozenset(names), image.layout,
                                       source=source)
+
+
+#: The empty view, the full view and three seeded random views.
+VIEW_KINDS = ("empty", "full", 0, 1, 2)
+
+
+def seeded_view(layout, kind):
+    names = layout.names()
+    if kind == "empty":
+        names = []
+    elif kind != "full":
+        rng = random.Random(kind)
+        names = [n for n in names if rng.random() < 0.5]
+    return InstructionSpeculationView(1, frozenset(names), layout)
+
+
+def assert_pages_match_view(isv, lo, hi, margin=2):
+    """Every bit of every page of ``[lo, hi)``, widened by ``margin``
+    pages each side, equals ``contains_va`` of its slot."""
+    pages = ISVPageTable(isv)
+    for page in range(lo // PAGE_SIZE - margin,
+                      -(-hi // PAGE_SIZE) + margin):
+        page_va = page * PAGE_SIZE
+        vas = [page_va + i * OP_SIZE for i in range(PAGE_SIZE // OP_SIZE)]
+        assert [pages.bit_for(va) for va in vas] \
+            == [isv.contains_va(va) for va in vas], hex(page_va)
+
+
+def small_layout(text_base, count=40, stride_ops=64):
+    """Functions of varied lengths, several to a page."""
+    layout = CodeLayout(text_base, stride_ops=stride_ops)
+    for i in range(count):
+        layout.add(Function(f"f{i}",
+                            [nop()] * (1 + (i * 7) % (stride_ops - 1))))
+    return layout
 
 
 class TestInstructionSpeculationView:
@@ -58,7 +96,7 @@ class TestInstructionSpeculationView:
 class TestISVPageTable:
     def test_demand_population(self, image):
         isv = make_isv(image, {"sys_read"})
-        pages = ISVPageTable(isv, image.layout)
+        pages = ISVPageTable(isv)
         func = image.layout["sys_read"]
         assert not pages.is_populated(func.base_va)
         assert pages.bit_for(func.base_va) is True
@@ -67,12 +105,73 @@ class TestISVPageTable:
 
     def test_bits_match_view(self, image):
         isv = make_isv(image, {"sys_read"})
-        pages = ISVPageTable(isv, image.layout)
+        pages = ISVPageTable(isv)
         inside = image.layout["sys_read"]
         for idx in range(len(inside)):
             assert pages.bit_for(inside.va_of(idx))
         outside = image.layout["sys_write"]
         assert not pages.bit_for(outside.base_va)
+
+    @pytest.mark.parametrize("kind", VIEW_KINDS)
+    def test_pages_match_view_on_shared_image(self, image, kind):
+        layout = image.layout
+        assert_pages_match_view(seeded_view(layout, kind),
+                                layout.text_base, layout.text_end)
+
+    @pytest.mark.parametrize("kind", VIEW_KINDS)
+    def test_pages_match_view_on_overlay(self, image, kind):
+        layout = image.layout.overlay()
+        for i, n_ops in enumerate((3, 500, 1)):
+            layout.add(Function(f"jit_prog{i}", [nop()] * n_ops))
+        isv = seeded_view(layout, kind)
+        assert_pages_match_view(isv, layout.text_base,
+                                layout.text_base + PAGE_SIZE)
+        assert_pages_match_view(isv, layout.overlay_base,
+                                layout["jit_prog2"].end_va)
+
+    @pytest.mark.parametrize("kind", VIEW_KINDS)
+    @pytest.mark.parametrize("text_base", [0x40_0104, 0x40_0a06])
+    def test_pages_match_view_with_unaligned_text_base(self, text_base,
+                                                        kind):
+        layout = small_layout(text_base)
+        assert_pages_match_view(seeded_view(layout, kind),
+                                layout.text_base, layout.text_end)
+
+    @pytest.mark.parametrize("kind", VIEW_KINDS)
+    def test_pages_match_view_on_unaligned_overlay(self, kind):
+        # The overlay region starts off the page and slot grid, so one
+        # page holds slots of both regions.
+        layout = small_layout(0x40_0a06, count=8).overlay()
+        for i in range(20):
+            layout.add(Function(f"jit{i}", [nop()] * (2 + 3 * i)))
+        isv = seeded_view(layout, kind)
+        assert_pages_match_view(isv, layout.text_base, layout.base.text_end)
+        assert_pages_match_view(isv, layout.overlay_base,
+                                layout["jit19"].end_va)
+
+    @pytest.mark.parametrize("kind", VIEW_KINDS)
+    def test_pages_match_view_after_bodies_change_length(self, kind):
+        layout = small_layout(0x40_0000)
+        # Grown past the stride: shadowed by the next function's base.
+        layout["f3"].body.extend([nop()] * 200)
+        layout["f39"].body.extend([nop()] * 200)
+        # Shrunk after placement: its tail slots resolve to nothing.
+        del layout["f20"].body[1:]
+        assert_pages_match_view(seeded_view(layout, kind),
+                                layout.text_base, layout["f39"].end_va)
+
+    def test_demand_fill_counts(self, image):
+        isv = make_isv(image, {"sys_read", "copy_from_user"})
+        pages = ISVPageTable(isv)
+        sys_read = image.layout["sys_read"]
+        vas = [sys_read.va_of(i) for i in range(len(sys_read))]
+        vas += [image.layout[name].base_va
+                for name in image.layout.names()[::97]]
+        vas += [0x1000, 0x1004, image.layout.text_end, sys_read.base_va]
+        bits = [pages.bit_for(va) for va in vas]
+        # The counts the slot-by-slot fill gave for this sequence.
+        assert (pages.stats.populated_pages, pages.stats.bit_queries,
+                sum(bits)) == (32, 69, 38)
 
     def test_isv_page_va_fixed_offset(self):
         code_va = 0xFFFF_F000_0000_2345
@@ -81,7 +180,7 @@ class TestISVPageTable:
 
     def test_invalidate_drops_pages(self, image):
         isv = make_isv(image, {"sys_read"})
-        pages = ISVPageTable(isv, image.layout)
+        pages = ISVPageTable(isv)
         pages.bit_for(image.layout["sys_read"].base_va)
         pages.invalidate()
         assert pages.populated_pages() == 0
