@@ -4,9 +4,9 @@ Without a subcommand, runs a small workload matrix with the
 observability plane armed and prints (or saves) the resulting metrics
 snapshot.  Everything in the snapshot derives from simulated cycles and
 seeded workloads, so two invocations with the same arguments produce
-**byte-identical** output -- the CI smoke step diffs a committed
-snapshot against a fresh run to keep the plane (and the counters it
-reads) honest.
+**byte-identical** output -- the ``obs_smoke`` gate
+(``benchmarks/snapshots.py``) diffs a committed snapshot against a fresh
+run to keep the plane (and the counters it reads) honest.
 
 Usage::
 
@@ -277,7 +277,7 @@ def main(argv: list[str] | None = None) -> int:
         prog="python -m repro.obs",
         description="run a small workload matrix under the deterministic "
                     "observability plane and emit the metrics snapshot "
-                    "(subcommands: events, profile, diff)")
+                    "(subcommands: events, profile, diff, top, report)")
     parser.add_argument("--smoke", action="store_true",
                         help="trimmed CI matrix (lebench x unsafe/"
                              "perspective)")

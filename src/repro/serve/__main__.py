@@ -4,9 +4,11 @@ Without a subcommand, runs the multi-tenant serving sweep (seeds x
 tenant counts) through the :mod:`repro.exec` engine and emits the merged
 metrics snapshot.  Everything derives from seeded schedules and simulated
 cycles, so two invocations with the same arguments produce
-**byte-identical** output regardless of ``--workers`` -- the CI smoke
-step runs the sweep twice (1 and 2 workers), byte-compares the files,
-and gates the committed snapshot with ``python -m repro.obs diff``.
+**byte-identical** output regardless of ``--workers`` -- the
+``serve_smoke`` gate (``benchmarks/snapshots.py``) runs the sweep twice
+(1 worker under ``PYTHONHASHSEED=0``, 4 workers under
+``PYTHONHASHSEED=7``), byte-compares the files, and gates the committed
+snapshot with ``python -m repro.obs diff``.
 
 Usage::
 
@@ -467,7 +469,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.serve",
         description="run the multi-tenant serving sweep and emit the "
-                    "metrics snapshot (subcommands: conformance)")
+                    "metrics snapshot (subcommands: conformance, "
+                    "campaign, scale)")
     parser.add_argument("--smoke", action="store_true",
                         help="trimmed CI sweep (2 seeds x 2 tenant counts)")
     parser.add_argument("--scheme", default="perspective",
