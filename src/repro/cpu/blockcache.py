@@ -48,7 +48,7 @@ speculation cannot interfere:
   bit-for-bit, including STT-style taint bookkeeping, so blocks replay
   regardless of in-flight predictions; or
 * under any other policy, only when every in-flight prediction has
-  already resolved (``max(unresolved) <= clock``), which makes every load
+  already resolved (``horizon <= clock``), which makes every load
   in the block architecturally non-speculative -- the policy's
   ``check_load`` is never consulted by the interpreter on that path, so
   skipping it is exact for *every* scheme.
@@ -93,7 +93,7 @@ import hashlib
 
 from repro.cpu.branch import ConditionalPredictor
 from repro.cpu.cache import CacheHierarchy, SetAssociativeCache
-from repro.cpu.isa import AluOp, DecodedBody, Function, MicroOp, Op
+from repro.cpu.isa import DecodedBody, Function, MicroOp, Op, alu_expr
 from repro.cpu.memsys import MainMemory, PageFault, TLB
 from repro.obs import events as ev
 from repro.reliability import faultplane
@@ -190,44 +190,6 @@ def block_spans(body: list[MicroOp],
 # ----------------------------------------------------------------------
 # Code generation
 # ----------------------------------------------------------------------
-
-
-def _alu_expr(op: MicroOp, read) -> str:
-    """The interpreter's ``_alu_eval`` as an inline expression.
-
-    ``read(reg, strict)`` yields the source expression for a register
-    value (a forwarded local or a ``regs`` dictionary access).
-    """
-    kind = op.alu_op
-    if kind is AluOp.LI:
-        return repr(op.imm)
-    a = read(op.src1, False)
-    if kind is AluOp.MOV:
-        return a
-    b = read(op.src2, False) if op.src2 is not None else repr(op.imm)
-    if kind is AluOp.ADD:
-        return f"{a} + {b}"
-    if kind is AluOp.SUB:
-        return f"{a} - {b}"
-    if kind is AluOp.AND:
-        return f"{a} & {b}"
-    if kind is AluOp.OR:
-        return f"{a} | {b}"
-    if kind is AluOp.XOR:
-        return f"{a} ^ {b}"
-    if kind is AluOp.SHL:
-        return f"{a} << ({b} & 63)"
-    if kind is AluOp.SHR:
-        return f"{a} >> ({b} & 63)"
-    if kind is AluOp.MUL:
-        return f"{a} * {b}"
-    if kind is AluOp.CMPLT:
-        return f"1 if {a} < {b} else 0"
-    if kind is AluOp.CMPLTU:
-        return f"1 if ({a} & {_U64}) < ({b} & {_U64}) else 0"
-    if kind is AluOp.CMPEQ:
-        return f"1 if {a} == {b} else 0"
-    raise ValueError(f"unknown ALU op: {kind}")
 
 
 class _SegmentWriter:
@@ -378,34 +340,19 @@ def _emit_tlb(w: _SegmentWriter, consts: dict, charge: bool,
 
 
 def _emit_spec_prune(w: _SegmentWriter, depth: int = 0) -> None:
-    """Inline ``_spec_until``: ``su`` = latest unresolved prediction
-    after ``t`` (0.0 if none), pruning resolved entries.  The scan
-    allocates nothing in the common no-prune case; when entries have
-    resolved, a second order-preserving pass rebuilds the list -- the
-    same final contents the interpreter's single filtering pass leaves.
-    """
-    w.emit("if unresolved:", depth)
-    w.emit("su = 0.0", depth + 1)
-    w.emit("_np = 0", depth + 1)
-    w.emit("for _r in unresolved:", depth + 1)
-    w.emit("if _r > t:", depth + 2)
-    w.emit("if _r > su:", depth + 3)
-    w.emit("su = _r", depth + 4)
-    w.emit("else:", depth + 2)
-    w.emit("_np += 1", depth + 3)
-    w.emit("if _np:", depth + 1)
-    w.emit("unresolved[:] = [_r for _r in unresolved if _r > t]",
-           depth + 2)
+    """The interpreter's load-time prune: ``su`` is the speculation
+    horizon if a prediction is still in flight after ``t``, else every
+    prediction has resolved and the horizon drops to 0.0."""
+    w.emit("if horizon > t:", depth)
+    w.emit("su = horizon", depth + 1)
     w.emit("else:", depth)
-    w.emit("su = 0.0", depth + 1)
+    w.emit("su = horizon = 0.0", depth + 1)
 
 
-def _emit_spec_prune_call(w: _SegmentWriter, depth: int = 0) -> None:
-    """Call-based fallback for the unresolved-prediction prune."""
-    w.emit("if unresolved:", depth)
-    w.emit("su = _spec(unresolved, t)", depth + 1)
-    w.emit("else:", depth)
-    w.emit("su = 0.0", depth + 1)
+def _emit_predicted(w: _SegmentWriter, depth: int = 0) -> None:
+    """A correctly predicted branch stays in flight until ``resolve``."""
+    w.emit("if resolve > horizon:", depth)
+    w.emit("horizon = resolve", depth + 1)
 
 
 def _emit_l1d_fill(w: _SegmentWriter, consts: dict, known_absent: bool,
@@ -458,7 +405,7 @@ def _emit_segment(body: list[MicroOp], dec: DecodedBody, start: int,
     emit(f"_stop = {STOP_BUDGET}", 2)
     emit("break", 2)
     if has_loads:
-        emit("if not _fr and unresolved and max(unresolved) > clock:", 1)
+        emit("if not _fr and horizon > clock:", 1)
         emit(f"_stop = {STOP_GUARD}", 2)
         emit("break", 2)
     emit("_hits += 1", 1)
@@ -490,7 +437,7 @@ def _emit_segment(body: list[MicroOp], dec: DecodedBody, start: int,
                 t_expr = "t"
             else:
                 t_expr = "clock"
-            emit(f"{vloc} = {_alu_expr(op, w.read)}")
+            emit(f"{vloc} = {alu_expr(op, w.read)}")
             emit(f"{yloc} = {t_expr} + 1.0")
             # Taint propagation, specialized on source arity.  Stored
             # taints are always positive resolve times, so ``taint > t``
@@ -528,7 +475,10 @@ def _emit_segment(body: list[MicroOp], dec: DecodedBody, start: int,
             emit("else:")
             if deep:
                 _emit_tlb(w, consts, charge=True, depth=1)
-                _emit_spec_prune(w, depth=1)
+            else:
+                emit("t += _tlb(va)", 1)
+            _emit_spec_prune(w, depth=1)
+            if deep:
                 emit(f"_ln = pa // {consts['l1d_line']}", 1)
                 emit(f"_w = _d1w[_ln % {consts['l1d_sets']}]", 1)
                 emit("if _ln in _w:", 1)
@@ -565,8 +515,6 @@ def _emit_segment(body: list[MicroOp], dec: DecodedBody, start: int,
                 emit(f"{vloc} = _x if _x is not None"
                      f" else (pa * 2654435761) & 255", 1)
             else:
-                emit("t += _tlb(va)", 1)
-                _emit_spec_prune_call(w, depth=1)
                 emit("_acc = _ad(pa)", 1)
                 emit(f"{vloc} = _ml(pa)", 1)
                 emit(f"{yloc} = t + _acc.latency", 1)
@@ -596,7 +544,7 @@ def _emit_segment(body: list[MicroOp], dec: DecodedBody, start: int,
                 emit(f"_w = _d1w[_ln % {consts['l1d_sets']}]", 1)
                 _emit_l1d_fill(w, consts, known_absent=False, depth=1)
             else:
-                emit("clock += _tlb(va) * 0.0", 1)
+                emit("_tlb(va)", 1)
                 emit(f"_ms(pa, {w.read(op.src2, True)})", 1)
                 emit("_fill(pa)", 1)
             emit("rob_append(t + 1.0)")
@@ -637,9 +585,8 @@ def _emit_segment(body: list[MicroOp], dec: DecodedBody, start: int,
             def mispredict(pred_taken: bool, depth: int) -> None:
                 wrong = op.target if pred_taken else j + 1
                 emit("result.mispredictions += 1", depth)
-                emit(f"_rt(func, {wrong}, regs, unresolved, clock,"
-                     " resolve, context, translate, result,"
-                     " taint_until=taint_until)", depth)
+                emit(f"_rt(func, {wrong}, regs, clock, resolve, context,"
+                     " translate, result, taint_until=taint_until)", depth)
                 emit(f"clock = resolve + {penalty}", depth)
 
             if deep:
@@ -648,7 +595,7 @@ def _emit_segment(body: list[MicroOp], dec: DecodedBody, start: int,
                 emit("if _actual:")
                 emit(f"_bc[{bi}] = _c + 1 if _c < 3 else 3", 1)
                 emit(f"if _c >= {consts['bp_weak']}:", 1)
-                emit("unresolved.append(resolve)", 2)
+                _emit_predicted(w, 2)
                 emit("else:", 1)
                 mispredict(pred_taken=False, depth=2)
                 emit("else:")
@@ -656,16 +603,16 @@ def _emit_segment(body: list[MicroOp], dec: DecodedBody, start: int,
                 emit(f"if _c >= {consts['bp_weak']}:", 1)
                 mispredict(pred_taken=True, depth=2)
                 emit("else:", 1)
-                emit("unresolved.append(resolve)", 2)
+                _emit_predicted(w, 2)
             else:
                 emit(f"_cond.update({pc}, _actual)")
                 emit("if _pred == _actual:")
-                emit("unresolved.append(resolve)", 1)
+                _emit_predicted(w, 1)
                 emit("else:")
                 emit("result.mispredictions += 1", 1)
                 emit(f"_rt(func, {op.target} if _pred else {j + 1}, regs,"
-                     " unresolved, clock, resolve, context, translate,"
-                     " result, taint_until=taint_until)", 1)
+                     " clock, resolve, context, translate, result,"
+                     " taint_until=taint_until)", 1)
                 emit(f"clock = resolve + {penalty}", 1)
             emit("rob_append(resolve)")
 
@@ -703,11 +650,11 @@ def generate_source(body: list[MicroOp], dec: DecodedBody,
     pipelines with identical configuration.
     """
     out = [
-        "def make_region(_ai, _ad, _tlb, _ml, _ms, _fill, _fd, _spec,"
+        "def make_region(_ai, _ad, _tlb, _ml, _ms, _fill, _fd,"
         " _rt, _bu, _PF,",
         "                _i1w, _i1s, _d1w, _d1s, _l2w, _l2s, _tl, _ts,"
         " _md, _bc):",
-        "    def region(regs, reg_ready, taint_until, unresolved, rob,"
+        "    def region(regs, reg_ready, taint_until, horizon, rob,"
         " clock, last_fetch_line, result, translate, facc, func,"
         " context, _stt, _dml, _dmh, idx, _fr, _mc, _tks, _tk):",
         "        rob_append = rob.append",
@@ -722,7 +669,8 @@ def generate_source(body: list[MicroOp], dec: DecodedBody,
                                  slot, first=slot == 0))
     out.append("            else:")
     out.append("                break")
-    out.append("        return clock, idx, last_fetch_line, _hits, _stop")
+    out.append("        return clock, horizon, idx, last_fetch_line, _hits,"
+               " _stop")
     out.append("    return region")
     return "\n".join(out) + "\n"
 
@@ -794,8 +742,8 @@ class BlockCache:
             hierarchy.access_inst, hierarchy.access_data,
             pipeline.tlb.access, pipeline.memory.load,
             pipeline.memory.store, hierarchy.l1d.fill,
-            hierarchy.flush_data, pipeline._spec_until,
-            pipeline._run_transient, pipeline.branch_unit, PageFault,
+            hierarchy.flush_data, pipeline._run_transient,
+            pipeline.branch_unit, PageFault,
         ) + ((
             hierarchy.l1i._sets, hierarchy.l1i.stats,
             hierarchy.l1d._sets, hierarchy.l1d.stats,

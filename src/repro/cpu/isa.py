@@ -186,6 +186,76 @@ def kret() -> MicroOp:
     return MicroOp(Op.KRET)
 
 
+_U64 = (1 << 64) - 1
+
+
+def alu_expr(op: MicroOp, read) -> str:
+    """An ALU op's value as a Python expression.
+
+    ``read(reg, strict)`` yields the source expression for a register
+    value.  The decoded ALU table (:meth:`Function.decoded`) and the
+    block JIT (:mod:`repro.cpu.blockcache`) both evaluate this form, so
+    interpreted and replayed ops compute the same values.
+    """
+    kind = op.alu_op
+    if kind is AluOp.LI:
+        return repr(op.imm)
+    a = read(op.src1, False)
+    if kind is AluOp.MOV:
+        return a
+    b = read(op.src2, False) if op.src2 is not None else repr(op.imm)
+    if kind is AluOp.ADD:
+        return f"{a} + {b}"
+    if kind is AluOp.SUB:
+        return f"{a} - {b}"
+    if kind is AluOp.AND:
+        return f"{a} & {b}"
+    if kind is AluOp.OR:
+        return f"{a} | {b}"
+    if kind is AluOp.XOR:
+        return f"{a} ^ {b}"
+    if kind is AluOp.SHL:
+        return f"{a} << ({b} & 63)"
+    if kind is AluOp.SHR:
+        return f"{a} >> ({b} & 63)"
+    if kind is AluOp.MUL:
+        return f"{a} * {b}"
+    if kind is AluOp.CMPLT:
+        return f"1 if {a} < {b} else 0"
+    if kind is AluOp.CMPLTU:
+        # Unsigned 64-bit compare: the semantics real bounds checks use,
+        # where a negative index wraps to a huge value and fails.
+        return f"1 if ({a} & {_U64}) < ({b} & {_U64}) else 0"
+    if kind is AluOp.CMPEQ:
+        return f"1 if {a} == {b} else 0"
+    raise ValueError(f"unknown ALU op: {kind}")
+
+
+#: Compiled ALU evaluators shared process-wide, one per distinct
+#: ``(alu_op, src1, src2, imm)`` (and the immediate's type, so ``1`` and
+#: ``True`` never share one).
+_ALU_EVALUATORS: dict[tuple, object] = {}
+
+
+def _alu_evaluator(op: MicroOp):
+    """``regs -> value`` for an ALU op; an unknown operation raises
+    ``ValueError`` when the op executes, not when it is decoded."""
+    key = (op.alu_op, op.src1, op.src2, op.imm, type(op.imm))
+    fn = _ALU_EVALUATORS.get(key)
+    if fn is None:
+        try:
+            expr = alu_expr(op, lambda reg, strict: f"regs.get({reg!r}, 0)")
+        except ValueError as exc:
+            message = str(exc)
+
+            def fn(regs):
+                raise ValueError(message)
+        else:
+            fn = eval(f"lambda regs: {expr}")
+        _ALU_EVALUATORS[key] = fn
+    return fn
+
+
 #: Size in bytes of one encoded micro-op.  Instruction virtual addresses are
 #: ``function.base_va + index * OP_SIZE``; the ISV bitmap has one bit per
 #: micro-op slot (Section 6.2).
@@ -290,6 +360,8 @@ class DecodedBody:
     vas: tuple[int, ...]
     lines: tuple[int, ...]  # instruction cache lines (va // 64)
     reads: tuple[tuple[str, ...], ...]
+    #: ``regs -> value`` evaluator per ALU op (None for other ops).
+    alu: tuple
     length: int
     base_va: int
     version: int = 0
@@ -364,6 +436,8 @@ class Function:
             vas=vas,
             lines=tuple(va // 64 for va in vas),
             reads=tuple(op.reads() for op in body) + ((),),
+            alu=tuple(_alu_evaluator(op) if op.op is Op.ALU else None
+                      for op in body) + (None,),
             length=len(body),
             base_va=base,
             version=body.version)
