@@ -139,6 +139,16 @@ class TestArchitecturalSemantics:
         result = pipeline.run(f, context)
         assert result.regs["r2"] == 0
 
+    def test_unknown_alu_op_raises_when_executed(self):
+        from repro.cpu.isa import MicroOp, Op
+        bogus = MicroOp(Op.ALU, dst="r2", src1="r1", alu_op="rotate")
+        f = Function("f", [li("r1", 1), br("r1", target=3), bogus, kret()])
+        pipeline = build(f)
+        assert run(pipeline, f).regs["r1"] == 1  # decodes, never runs
+        f.body[1] = MicroOp(Op.NOP)
+        with pytest.raises(ValueError, match="unknown ALU op: rotate"):
+            run(pipeline, f)
+
     def test_runaway_program_raises(self):
         f = Function("f", [li("r1", 1), br("r1", target=0)])
         pipeline = build(f)
